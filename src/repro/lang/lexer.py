@@ -17,11 +17,11 @@ from repro.lang.tokens import KEYWORDS, Token, TokenKind
 class Lexer:
     """Converts MiniRust source text into a list of :class:`Token`."""
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, line: int = 1, col: int = 1):
         self.source = source
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        self.line = line
+        self.col = col
         self.tokens: List[Token] = []
 
     # -- low-level cursor helpers ------------------------------------------
@@ -170,6 +170,10 @@ class Lexer:
             raise LexError(f"unexpected character {ch!r}", span_one)
 
 
-def tokenize(source: str) -> List[Token]:
-    """Tokenize ``source`` and return the token list (ending in EOF)."""
-    return Lexer(source).tokenize()
+def tokenize(source: str, line: int = 1, col: int = 1) -> List[Token]:
+    """Tokenize ``source`` and return the token list (ending in EOF).
+
+    ``line``/``col`` give the position of ``source``'s first character, so a
+    slice of a larger text (one top-level item) lexes to absolute spans.
+    """
+    return Lexer(source, line, col).tokenize()

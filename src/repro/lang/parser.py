@@ -15,14 +15,22 @@ The grammar is a small subset of Rust's:
 
 Programs written without an explicit ``crate`` wrapper are placed in a single
 crate named ``main``.
+
+:func:`parse_program` can also parse *incrementally*: given the previous
+generation's items (an :class:`ItemReuse`), it splits the text into
+top-level items (:mod:`repro.lang.items`), reuses every item whose text and
+start position are unchanged, and lexes and parses only the rest.  Both
+paths assemble crates with :func:`assemble_program`, so they build the same
+:class:`~repro.lang.ast.Program`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ParseError, Span
+from repro.errors import LexError, ParseError, Span
 from repro.lang import ast
+from repro.lang.items import CrateText, split_items
 from repro.lang.lexer import tokenize
 from repro.obs import stage as obs_stage
 from repro.lang.tokens import Token, TokenKind
@@ -38,12 +46,20 @@ from repro.lang.types import (
 )
 
 
+# How deeply expressions and blocks may nest.  Each level costs the
+# recursive-descent parser (and the checker and lowering after it) a handful
+# of Python frames, so this keeps the whole pipeline well inside the
+# interpreter's default recursion limit.
+MAX_NESTING_DEPTH = 48
+
+
 class Parser:
     """Parses a token stream into MiniRust AST nodes."""
 
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token stream helpers ----------------------------------------------
 
@@ -76,25 +92,31 @@ class Parser:
     def _at_end(self) -> bool:
         return self._check(TokenKind.EOF)
 
+    def _nest(self, token: Token) -> None:
+        """Enter one nesting level; ``token`` is the one that opens it.
+
+        Callers leave the level with ``self.depth -= 1`` on success only: a
+        :class:`ParseError` ends the whole parse, so no unwinding is needed.
+        """
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise ParseError(
+                f"nesting too deep: more than {MAX_NESTING_DEPTH} levels of "
+                "expressions and blocks",
+                token.span,
+            )
+
     # -- top level -----------------------------------------------------------
 
     def parse_program(self, local_crate: str = "main") -> ast.Program:
         """Parse a whole program (one or more crates)."""
-        crates: List[ast.Crate] = []
-        default_crate = ast.Crate(name="main")
-        saw_explicit_crate = False
+        entries: List[Union[ast.Crate, ast.Item]] = []
         while not self._at_end():
             if self._check(TokenKind.KW_CRATE):
-                saw_explicit_crate = True
-                crates.append(self._parse_crate_block())
+                entries.append(self._parse_crate_block())
             else:
-                default_crate.add(self._parse_item(default_crate.name))
-        if default_crate.items or not saw_explicit_crate:
-            crates.insert(0, default_crate)
-        chosen_local = local_crate
-        if not any(c.name == chosen_local for c in crates) and crates:
-            chosen_local = crates[0].name
-        return ast.Program(crates=crates, local_crate=chosen_local)
+                entries.append(self._parse_item(DEFAULT_CRATE))
+        return assemble_program(entries, local_crate)
 
     def parse_crate(self, name: str = "main") -> ast.Crate:
         """Parse a bare item list as a single crate."""
@@ -112,6 +134,14 @@ class Parser:
             crate.add(self._parse_item(crate.name))
         self._expect(TokenKind.RBRACE, "'}'")
         return crate
+
+    def parse_single_item(self, crate_name: str) -> ast.Item:
+        """Parse a token stream that holds exactly one item."""
+        item = self._parse_item(crate_name)
+        if not self._at_end():
+            found = self._peek()
+            raise ParseError(f"unexpected input after item: {found.text!r}", found.span)
+        return item
 
     def _parse_item(self, crate_name: str) -> ast.Item:
         if self._check(TokenKind.KW_STRUCT):
@@ -234,6 +264,7 @@ class Parser:
 
     def _parse_block(self) -> ast.Block:
         start = self._expect(TokenKind.LBRACE, "'{'")
+        self._nest(start)
         stmts: List[ast.Stmt] = []
         tail: Optional[ast.Expr] = None
         while not self._check(TokenKind.RBRACE):
@@ -292,6 +323,7 @@ class Parser:
                         found.span,
                     )
         end = self._expect(TokenKind.RBRACE, "'}'")
+        self.depth -= 1
         return ast.Block(stmts=stmts, tail=tail, span=start.span.merge(end.span))
 
     def _parse_let(self) -> ast.LetStmt:
@@ -330,7 +362,10 @@ class Parser:
     # -- expressions -----------------------------------------------------------
 
     def _parse_expr(self, allow_struct: bool = True) -> ast.Expr:
-        return self._parse_or(allow_struct)
+        self._nest(self._peek())
+        expr = self._parse_or(allow_struct)
+        self.depth -= 1
+        return expr
 
     def _parse_or(self, allow_struct: bool) -> ast.Expr:
         expr = self._parse_and(allow_struct)
@@ -402,32 +437,25 @@ class Parser:
             )
         return expr
 
+    _PREFIX_OPS = (TokenKind.BANG, TokenKind.MINUS, TokenKind.STAR, TokenKind.AMP)
+
     def _parse_unary(self, allow_struct: bool) -> ast.Expr:
         token = self._peek()
+        if token.kind not in self._PREFIX_OPS:
+            return self._parse_postfix(allow_struct)
+        self._nest(token)
+        self._advance()
+        mutable = token.kind is TokenKind.AMP and bool(self._match(TokenKind.KW_MUT))
+        operand = self._parse_unary(allow_struct)
+        self.depth -= 1
+        span = token.span.merge(operand.span)
         if token.kind is TokenKind.BANG:
-            self._advance()
-            operand = self._parse_unary(allow_struct)
-            return ast.Unary(
-                op=ast.UnOp.NOT, operand=operand, span=token.span.merge(operand.span)
-            )
+            return ast.Unary(op=ast.UnOp.NOT, operand=operand, span=span)
         if token.kind is TokenKind.MINUS:
-            self._advance()
-            operand = self._parse_unary(allow_struct)
-            return ast.Unary(
-                op=ast.UnOp.NEG, operand=operand, span=token.span.merge(operand.span)
-            )
+            return ast.Unary(op=ast.UnOp.NEG, operand=operand, span=span)
         if token.kind is TokenKind.STAR:
-            self._advance()
-            operand = self._parse_unary(allow_struct)
-            return ast.Deref(base=operand, span=token.span.merge(operand.span))
-        if token.kind is TokenKind.AMP:
-            self._advance()
-            mutable = bool(self._match(TokenKind.KW_MUT))
-            operand = self._parse_unary(allow_struct)
-            return ast.Borrow(
-                mutable=mutable, place=operand, span=token.span.merge(operand.span)
-            )
-        return self._parse_postfix(allow_struct)
+            return ast.Deref(base=operand, span=span)
+        return ast.Borrow(mutable=mutable, place=operand, span=span)
 
     def _parse_postfix(self, allow_struct: bool) -> ast.Expr:
         expr = self._parse_primary(allow_struct)
@@ -484,6 +512,7 @@ class Parser:
 
     def _parse_if(self) -> ast.If:
         start = self._expect(TokenKind.KW_IF, "'if'")
+        self._nest(start)
         cond = self._parse_expr(allow_struct=False)
         then_block = self._parse_block()
         else_block: Optional[ast.Block] = None
@@ -494,6 +523,7 @@ class Parser:
             else:
                 else_block = self._parse_block()
         end_span = else_block.span if else_block is not None else then_block.span
+        self.depth -= 1
         return ast.If(
             cond=cond,
             then_block=then_block,
@@ -550,14 +580,119 @@ class Parser:
 
 
 # ---------------------------------------------------------------------------
+# Program assembly and the incremental item path
+# ---------------------------------------------------------------------------
+
+# The crate that items written outside any ``crate`` block belong to.
+DEFAULT_CRATE = "main"
+
+# An item's reuse key: (crate, start line, start col, item text).
+ItemKey = Tuple[str, int, int, str]
+
+
+def assemble_program(
+    entries: Sequence[Union[ast.Crate, ast.Item]], local_crate: str = "main"
+) -> ast.Program:
+    """Build a program from its top-level entries, in source order.
+
+    ``entries`` holds explicit crate blocks and the items written outside
+    any block.  Those items form the default crate, which comes first and
+    is kept when it has items or when the text has no crate block at all.
+    The local crate is ``local_crate`` when some crate has that name, and
+    the first crate otherwise.
+    """
+    crates: List[ast.Crate] = []
+    default_crate = ast.Crate(name=DEFAULT_CRATE)
+    saw_explicit_crate = False
+    for entry in entries:
+        if isinstance(entry, ast.Crate):
+            saw_explicit_crate = True
+            crates.append(entry)
+        else:
+            default_crate.add(entry)
+    if default_crate.items or not saw_explicit_crate:
+        crates.insert(0, default_crate)
+    chosen_local = local_crate
+    if not any(c.name == chosen_local for c in crates) and crates:
+        chosen_local = crates[0].name
+    return ast.Program(crates=crates, local_crate=chosen_local)
+
+
+class ItemReuse:
+    """The item maps of two workspace generations, and what one parse reused.
+
+    ``previous`` maps :data:`ItemKey` to the items of the last good parse;
+    :func:`parse_program` fills ``items`` with this parse's map (empty after
+    a whole-text fallback) and counts the items it reused and re-parsed.
+    """
+
+    def __init__(self, previous: Optional[Dict[ItemKey, ast.Item]] = None):
+        self.previous: Dict[ItemKey, ast.Item] = previous if previous is not None else {}
+        self.items: Dict[ItemKey, ast.Item] = {}
+        self.reused = 0
+        self.reparsed = 0
+        self.fallback = False
+
+
+def _parse_items(source: str, local_crate: str, reuse: ItemReuse) -> Optional[ast.Program]:
+    """The program assembled from ``source``'s items, parsing only new ones.
+
+    Returns ``None``, with ``reuse.fallback`` set, when the text does not
+    split into items or an item does not parse on its own.
+    """
+    previous = reuse.previous
+
+    def item(piece, crate_name: str) -> ast.Item:
+        key = (crate_name, piece.line, piece.col, piece.text)
+        found = previous.get(key)
+        if found is None:
+            tokens = tokenize(piece.text, piece.line, piece.col)
+            found = Parser(tokens).parse_single_item(crate_name)
+            reuse.reparsed += 1
+        else:
+            reuse.reused += 1
+        reuse.items[key] = found
+        return found
+
+    entries = split_items(source)
+    if entries is not None:
+        try:
+            assembled: List[Union[ast.Crate, ast.Item]] = []
+            for entry in entries:
+                if isinstance(entry, CrateText):
+                    crate = ast.Crate(name=entry.name, span=entry.span)
+                    for piece in entry.items:
+                        crate.add(item(piece, entry.name))
+                    assembled.append(crate)
+                else:
+                    assembled.append(item(entry, DEFAULT_CRATE))
+            return assemble_program(assembled, local_crate)
+        except (LexError, ParseError):
+            pass
+    reuse.items, reuse.reused, reuse.reparsed = {}, 0, 0
+    reuse.fallback = True
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Convenience entry points
 # ---------------------------------------------------------------------------
 
 
-def parse_program(source: str, local_crate: str = "main") -> ast.Program:
-    """Parse source text into a :class:`repro.lang.ast.Program`."""
+def parse_program(
+    source: str, local_crate: str = "main", reuse: Optional[ItemReuse] = None
+) -> ast.Program:
+    """Parse source text into a :class:`repro.lang.ast.Program`.
+
+    With ``reuse``, parse item by item and take every unchanged item from
+    ``reuse.previous`` (see :class:`ItemReuse`).  When the text does not
+    split cleanly into items, or an item fails to parse, the whole text is
+    parsed instead, so the result or error is always the whole-text one.
+    """
     with obs_stage("parse") as sp:
-        program = Parser(tokenize(source)).parse_program(local_crate=local_crate)
+        program = _parse_items(source, local_crate, reuse) if reuse is not None else None
+        if program is None:
+            program = Parser(tokenize(source)).parse_program(local_crate=local_crate)
         if sp is not None:
             sp.set(bytes=len(source), crates=len(program.crates))
         return program

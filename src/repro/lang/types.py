@@ -343,7 +343,11 @@ class StructRegistry:
         """Replace name-only struct types inside ``ty`` with full definitions."""
         if isinstance(ty, StructType):
             known = self.lookup(ty.name)
-            return known if known is not None else ty
+            if known is not None:
+                return known
+            # Unknown here: back to the name-only form the parser builds, so
+            # a type resolved against another registry keeps no stale fields.
+            return StructType(name=ty.name) if ty.fields or ty.opaque else ty
         if isinstance(ty, RefType):
             return RefType(self.resolve(ty.pointee), ty.mutability, ty.lifetime)
         if isinstance(ty, TupleType):

@@ -68,9 +68,19 @@ class LoweredProgram:
 
     checked: CheckedProgram
     bodies: Dict[str, Body] = field(default_factory=dict)
+    # The typing environment the bodies were lowered in, and how many of
+    # them were lowered afresh rather than reused (see lower_program).
+    env: Optional[tuple] = None
+    relowered: int = 0
 
     def body(self, name: str) -> Optional[Body]:
         return self.bodies.get(name)
+
+    def environment(self) -> tuple:
+        """The :func:`typing_environment` of ``checked``, computed once."""
+        if self.env is None:
+            self.env = typing_environment(self.checked)
+        return self.env
 
     def local_bodies(self) -> List[Body]:
         """Bodies of functions defined in the local crate."""
@@ -537,15 +547,45 @@ def lower_function(checked: CheckedProgram, name: str) -> Body:
     return FunctionLowerer(checked, decl).lower()
 
 
-def lower_program(checked: CheckedProgram) -> LoweredProgram:
-    """Lower every function with a body (in every crate) to MIR."""
+def typing_environment(checked: CheckedProgram) -> tuple:
+    """Everything a body's lowering reads besides its own declaration.
+
+    Every signature's rendering, every struct definition and the
+    function-to-crate map.  Two programs with equal environments lower an
+    identical declaration to identical MIR.
+    """
+    structs = tuple(
+        (name, struct.opaque, tuple((fld, ty.pretty()) for fld, ty in struct.fields))
+        for name, struct in sorted(checked.registry.structs.items())
+    )
+    signatures = tuple(sorted((name, sig.pretty()) for name, sig in checked.signatures.items()))
+    return structs, signatures, tuple(sorted(checked.fn_crates.items()))
+
+
+def lower_program(
+    checked: CheckedProgram, previous: Optional[LoweredProgram] = None
+) -> LoweredProgram:
+    """Lower every function with a body (in every crate) to MIR.
+
+    With ``previous`` (the last generation of the same workspace), a body is
+    reused as is when its declaration is the very same AST object and the
+    typing environment (:func:`typing_environment`) is unchanged; only the
+    other bodies are lowered again.
+    """
     with obs_stage("mir_lower") as sp:
         lowered = LoweredProgram(checked=checked)
+        reusable: Dict[str, ast.FnDecl] = {}
+        if previous is not None and previous.environment() == lowered.environment():
+            reusable = {decl.name: decl for decl in previous.checked.program.all_functions()}
         for crate in checked.program.crates:
             for decl in crate.functions():
                 if decl.body is None:
                     continue
-                lowered.bodies[decl.name] = FunctionLowerer(checked, decl).lower()
+                if reusable.get(decl.name) is decl:
+                    lowered.bodies[decl.name] = previous.bodies[decl.name]
+                else:
+                    lowered.bodies[decl.name] = FunctionLowerer(checked, decl).lower()
+                    lowered.relowered += 1
         if sp is not None:
-            sp.set(bodies=len(lowered.bodies))
+            sp.set(bodies=len(lowered.bodies), relowered=lowered.relowered)
         return lowered

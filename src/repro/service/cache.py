@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -122,6 +123,9 @@ class FingerprintIndex:
     modular analysis only ever sees their signatures); ``body_fingerprint``
     covers local bodies; ``shallow_fingerprint`` and ``cone_fingerprint`` are
     the per-condition cache keys described in the module docstring.
+
+    ``previous`` is the index of the workspace's last generation: body
+    fingerprints carry over for every body object it shares with this one.
     """
 
     def __init__(
@@ -130,6 +134,7 @@ class FingerprintIndex:
         signatures: Dict[str, object],
         local_crate: str,
         call_graph: CallGraph,
+        previous: Optional["FingerprintIndex"] = None,
     ):
         self.lowered = lowered
         self.signatures = signatures
@@ -137,6 +142,12 @@ class FingerprintIndex:
         self.call_graph = call_graph
         self._sig: Dict[str, str] = {}
         self._body: Dict[str, Optional[str]] = {}
+        if previous is not None:
+            # A body object reused from the previous generation (see
+            # lower_program) has the same text, so the same fingerprint.
+            for name, body in lowered.bodies.items():
+                if previous.lowered.bodies.get(name) is body and name in previous._body:
+                    self._body[name] = previous._body[name]
         self._shallow: Dict[str, str] = {}
         self._cone: Dict[str, str] = {}
 
@@ -240,6 +251,29 @@ class FingerprintIndex:
         }
 
 
+def _write_record(path: Path, key: CacheKey, value: dict) -> None:
+    """Write one disk-tier record atomically.
+
+    The record goes to a temporary file beside ``path`` that is then renamed
+    over it, so a crash or a failed write leaves either the previous record
+    or none, never a torn one.  The temporary name does not end in
+    ``.json``, so no reader mistakes it for a record.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(
+            json.dumps({"key": key.to_json_dict(), "value": value}, sort_keys=True),
+            encoding="utf-8",
+        )
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class CacheStats:
     """Counters surfaced in service responses (`stats` blocks)."""
@@ -323,10 +357,7 @@ class SummaryStore:
         if path is None:
             return
         try:
-            path.write_text(
-                json.dumps({"key": key.to_json_dict(), "value": value}, sort_keys=True),
-                encoding="utf-8",
-            )
+            _write_record(path, key, value)
             self.stats.disk_writes += 1
         except OSError:
             pass  # The disk tier is best-effort; memory stays authoritative.
@@ -453,12 +484,7 @@ class SummaryStore:
             for key, value in self._entries.items():
                 path = disk_dir / key.file_name()
                 try:
-                    path.write_text(
-                        json.dumps(
-                            {"key": key.to_json_dict(), "value": value}, sort_keys=True
-                        ),
-                        encoding="utf-8",
-                    )
+                    _write_record(path, key, value)
                     written += 1
                 except OSError:
                     continue

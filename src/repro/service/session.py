@@ -27,7 +27,8 @@ from repro.core.engine import FlowEngine
 from repro.errors import QueryError, ReproError
 from repro.focus.resolve import resolve_cursor
 from repro.focus.table import FocusTable
-from repro.lang.parser import parse_program
+from repro.lang import ast
+from repro.lang.parser import ItemKey, ItemReuse, parse_program
 from repro.lang.typeck import check_program
 from repro.mir.callgraph import CallGraph, build_call_graph
 from repro.mir.ir import Body
@@ -69,9 +70,16 @@ class AnalysisSession:
             "ifc_queries": 0,
             "edits": 0,
             "memo_hits": 0,
+            "items_reused": 0,
+            "items_reparsed": 0,
+            "bodies_relowered": 0,
+            "full_parse_fallbacks": 0,
         }
         self.last_plans: Optional[Dict[bool, InvalidationPlan]] = None
         self._units: "OrderedDict[str, str]" = OrderedDict()
+        # The current generation's parsed items by (crate, line, col, text):
+        # the next rebuild re-parses only items not found here.
+        self._items: Dict[ItemKey, ast.Item] = {}
         self._checked = None
         self._lowered = None
         self._call_graph: Optional[CallGraph] = None
@@ -180,16 +188,21 @@ class AnalysisSession:
         """Re-derive program state after a workspace change and evict exactly
         the cache entries the edit can have affected."""
         with obs_span("rebuild") as sp:
-            out = self._rebuild_inner()
+            reuse = ItemReuse(previous=self._items)
+            out = self._rebuild_inner(reuse)
             if sp is not None:
                 sp.set(
                     generation=out["generation"],
                     functions=out["functions"],
                     evicted_entries=out["evicted_entries"],
+                    items_reused=reuse.reused,
+                    items_reparsed=reuse.reparsed,
+                    bodies_relowered=self._lowered.relowered,
+                    full_parse_fallbacks=int(reuse.fallback),
                 )
             return out
 
-    def _rebuild_inner(self) -> dict:
+    def _rebuild_inner(self, reuse: ItemReuse) -> dict:
         old_snapshot = (
             self._fingerprints.snapshot() if self._fingerprints is not None else {}
         )
@@ -197,21 +210,39 @@ class AnalysisSession:
 
         # Derive everything into locals first: if any stage fails, the
         # session keeps serving the previous workspace generation intact.
-        program = parse_program(self.source, local_crate=self.local_crate)
-        checked = check_program(program)
-        lowered = lower_program(checked)
-        call_graph = build_call_graph(lowered)
+        # Only the items, bodies and fingerprints the edit left alone are
+        # carried over from that generation.
+        try:
+            program = parse_program(self.source, local_crate=self.local_crate, reuse=reuse)
+            checked = check_program(program)
+            lowered = lower_program(checked, previous=self._lowered)
+            call_graph = build_call_graph(lowered)
+            fingerprints = FingerprintIndex(
+                lowered,
+                checked.signatures,
+                program.local_crate,
+                call_graph,
+                previous=self._fingerprints,
+            )
+        except Exception:
+            if reuse.reused and self._checked is not None:
+                # Reused items are shared with the generation still being
+                # served, and the failed check re-annotated them in place;
+                # checking that generation again restores its annotations.
+                check_program(self._checked.program)
+            raise
+        self._items = reuse.items
         self._checked = checked
         self._lowered = lowered
         self._call_graph = call_graph
-        self._fingerprints = FingerprintIndex(
-            lowered,
-            checked.signatures,
-            program.local_crate,
-            call_graph,
-        )
+        self._fingerprints = fingerprints
         self._engines.clear()
         self.generation += 1
+        with self._counter_lock:
+            self.counters["items_reused"] += reuse.reused
+            self.counters["items_reparsed"] += reuse.reparsed
+            self.counters["bodies_relowered"] += lowered.relowered
+            self.counters["full_parse_fallbacks"] += int(reuse.fallback)
 
         new_snapshot = self._fingerprints.snapshot()
         body_changed: Set[str] = set()

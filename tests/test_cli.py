@@ -624,3 +624,25 @@ def test_profile_and_bench_help(capsys):
         output = capsys.readouterr().out
         for flag in flags:
             assert flag in output, f"{name} --help missing {flag}"
+
+
+def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    deep = tmp_path / "deep.mrs"
+    deep.write_text("fn f() -> u32 {\n    " + "(" * 200 + "1" + ")" * 200 + "\n}\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "analyze", str(deep)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    output = proc.stdout + proc.stderr
+    assert proc.returncode != 0
+    assert "Traceback" not in output and "RecursionError" not in output
+    assert "nesting too deep" in output
+    assert f"{deep}:2:" in output  # the span of the token over the limit

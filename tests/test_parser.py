@@ -292,3 +292,63 @@ def test_walk_block_visits_all_expressions():
 def test_called_functions_helper():
     fn = parse_crate("fn f(x: u32) -> u32 { g(h(x)) }").functions()[0]
     assert sorted(ast.called_functions(fn)) == ["g", "h"]
+
+
+# ---------------------------------------------------------------------------
+# Nesting limit
+# ---------------------------------------------------------------------------
+
+from repro.lang.parser import MAX_NESTING_DEPTH  # noqa: E402
+
+
+def _nested(kind: str, depth: int) -> str:
+    """A function whose body nests ``depth`` levels of ``kind``."""
+    if kind == "parens":
+        inner = "(" * depth + "1" + ")" * depth
+        return f"fn f() -> u32 {{ {inner} }}"
+    if kind == "blocks":
+        return "fn f() -> u32 " + "{ " * depth + "1" + " }" * depth
+    if kind == "unary":
+        return "fn f() -> u32 { " + "-" * depth + "1 }"
+    if kind == "calls":
+        inner = "g(" * depth + "1" + ")" * depth
+        return f"fn g(x: u32) -> u32 {{ x }}\nfn f() -> u32 {{ {inner} }}"
+    if kind == "else_if":
+        chain = " else ".join(f"if true {{ {i} }}" for i in range(depth))
+        return f"fn f() -> u32 {{ {chain} else {{ 0 }} }}"
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("kind", ["parens", "blocks", "unary", "calls", "else_if"])
+def test_deep_nesting_is_a_parse_error_with_a_span(kind):
+    source = _nested(kind, 200)
+    with pytest.raises(ParseError) as caught:
+        parse_program(source)
+    assert "nesting too deep" in str(caught.value)
+    span = caught.value.span
+    assert not span.is_dummy()
+    # The span is the token that opened the level over the limit: on the
+    # function's line, past the function header.
+    assert span.start_line == source.count("\n") + 1
+    assert span.start_col > len("fn f() -> u32 ")
+
+
+def test_two_hundred_parens_report_the_crossing_token():
+    source = _nested("parens", 200)
+    with pytest.raises(ParseError) as caught:
+        parse_program(source)
+    # The block is level 1, and the tail expression that starts at the k-th
+    # '(' is level k + 1: the crossing token is '(' number MAX.
+    first = source.index("{ (") + 2 + 1
+    col = first + MAX_NESTING_DEPTH - 1
+    assert (caught.value.span.start_line, caught.value.span.start_col) == (1, col)
+
+
+@pytest.mark.parametrize("kind", ["parens", "blocks", "unary", "calls", "else_if"])
+def test_nesting_just_under_the_limit_runs_the_whole_pipeline(kind):
+    from repro.core.engine import FlowEngine
+
+    source = _nested(kind, MAX_NESTING_DEPTH - 3)
+    engine = FlowEngine.from_source(source)
+    for name in engine.local_function_names():
+        engine.analyze_function(name)

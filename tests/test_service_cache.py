@@ -157,6 +157,55 @@ class TestSummaryStore:
         assert store.get(whole) is None
 
 
+class TestAtomicDiskWrites:
+    """A failed record write leaves the previous record or none, never a torn one."""
+
+    @staticmethod
+    def _failing_replace(monkeypatch):
+        import repro.service.cache as cache_module
+
+        def fail(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(cache_module.os, "replace", fail)
+
+    def test_failed_put_keeps_previous_record(self, tmp_path, monkeypatch):
+        key = make_key()
+        SummaryStore(disk_dir=tmp_path).put(key, {"v": 1})
+        self._failing_replace(monkeypatch)
+        store = SummaryStore(disk_dir=tmp_path)
+        store.put(key, {"v": 2, "padding": "x" * 4096})
+        assert store.stats.disk_writes == 0
+        monkeypatch.undo()
+        assert SummaryStore(disk_dir=tmp_path).get(key) == {"v": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [key.file_name()]
+
+    def test_failed_put_of_new_key_serves_nothing(self, tmp_path, monkeypatch):
+        key = make_key(fn_name="fresh")
+        self._failing_replace(monkeypatch)
+        SummaryStore(disk_dir=tmp_path).put(key, {"v": 1})
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        assert SummaryStore(disk_dir=tmp_path).get(key) is None
+
+    def test_failed_flush_keeps_previous_records(self, tmp_path, monkeypatch):
+        target = tmp_path / "snapshot"
+        old, new = make_key(fn_name="old"), make_key(fn_name="new")
+        first = SummaryStore()
+        first.put(old, {"v": 1})
+        assert first.flush_to(target) == 1
+        second = SummaryStore()
+        second.put(old, {"v": 2})
+        second.put(new, {"v": 3})
+        self._failing_replace(monkeypatch)
+        assert second.flush_to(target) == 0
+        monkeypatch.undo()
+        adopted = SummaryStore(disk_dir=target)
+        assert adopted.get(old) == {"v": 1}
+        assert adopted.get(new) is None
+        assert sorted(p.name for p in target.iterdir()) == [old.file_name()]
+
+
 class TestWholeProgramSummaryRoundTrip:
     def test_manual_summary(self):
         summary = WholeProgramSummary(

@@ -41,6 +41,22 @@ class TestConditionParsing:
 
 
 class TestServeLoop:
+    def test_deeply_nested_source_is_a_typed_parse_failure(self):
+        deep = "fn f() -> u32 { " + "(" * 200 + "1" + ")" * 200 + " }"
+        responses = run_requests(
+            [
+                {"id": 1, "method": "open", "params": {"source": GET_COUNT_SOURCE}},
+                {"id": 2, "method": "update", "params": {"source": deep}},
+                {"id": 3, "method": "open", "params": {"source": deep, "unit": "deep"}},
+                {"id": 4, "method": "analyze", "params": {"function": "get_count"}},
+            ]
+        )
+        for response in responses[1:3]:
+            assert response["ok"] is False
+            assert response["error_code"] == "repro_error"  # as for any syntax error
+            assert "nesting too deep" in response["error"]
+        assert responses[3]["ok"] is True  # the workspace is as it was
+
     def test_analyze_twice_second_served_from_store(self):
         responses = run_requests(
             [
