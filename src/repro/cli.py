@@ -90,10 +90,9 @@ def _add_condition_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         default="bitset",
-        choices=["bitset", "vector", "object"],
-        help="dataflow substrate: the indexed bitset engine (default), the "
-             "vectorized numpy uint64 engine (tier 3, requires numpy), or "
-             "the legacy object engine kept as the differential reference",
+        choices=["bitset", "object"],
+        help="dataflow substrate: the indexed bitset engine (default) or "
+             "the object engine kept as the differential reference",
     )
 
 
@@ -381,10 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     eval_run.add_argument("--chunk-size", type=int, default=8,
                           help="programs per shard (default: 8)")
     eval_run.add_argument("--engine", default="bitset",
-                          choices=["bitset", "vector", "object"],
+                          choices=["bitset", "object"],
                           help="dataflow substrate for the probe analyses "
-                               "(default: bitset); `vector` doubles as an "
-                               "at-scale differential pass of the numpy tier")
+                               "(default: bitset)")
     eval_run.add_argument("--oracles",
                           help="comma-separated oracle subset (default: all five)")
     eval_run.add_argument("--inject", metavar="NAME",
@@ -666,15 +664,13 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
     if args.file is None:
         raise ReproError("`stats` needs a FILE (or --campaign REPORT_JSON)")
 
-    # Table sizes / density / dirty-bit counts only exist on the indexed
-    # substrates (bitset + vector); the condition flags still select what
-    # is analysed.
+    # Table sizes / density / dirty-bit counts only exist on the bitset
+    # engine; the condition flags still select what is analysed.
     config = _config_from_args(args)
-    if config.engine not in ("bitset", "vector"):
+    if config.engine != "bitset":
         raise ReproError(
             "`stats` reports interning-table/bitset metrics, which only the "
-            "indexed engines have; drop --engine or pass --engine bitset "
-            "or --engine vector"
+            "bitset engine has; drop --engine or pass --engine bitset"
         )
     engine = FlowEngine.from_source(_read_source(args.file), config=config)
     rows = []

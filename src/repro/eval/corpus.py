@@ -461,8 +461,8 @@ class _CrateBuilder:
         locals_pool.append(lead2)
 
         # Most workers start by probing their inputs through *shared*
-        # references (validate the config, peek at the buffer, measure the
-        # vector).  Under the Mut-blind ablation each of these calls is
+        # references (validate the config, peek at the buffer, read its
+        # length).  Under the Mut-blind ablation each of these calls is
         # assumed to mutate its referent, so every later read through the
         # same reference picks up extra dependencies — this is the
         # ``read_until`` pattern from Section 5.3.2.

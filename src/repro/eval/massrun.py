@@ -181,8 +181,7 @@ def _verdict_probes(
     The snapshot digest commits to every analyze record and slice the
     workspace can answer (cache-independent, byte-stable); precision is the
     distribution of per-variable dependency-set sizes under Modular, run on
-    the selected ``engine`` tier — all tiers must report identical sizes, so
-    an ``--engine vector`` mass run is also an at-scale differential pass.
+    the selected ``engine`` (both engines report identical sizes).
     """
     import dataclasses as _dataclasses
 
@@ -445,19 +444,15 @@ def run_mass_evaluation(
     empty corpus).
     """
     oracle_names = config.oracle_names()
-    # Fail fast on a bad engine name or a vector run without numpy — a
-    # configuration error, not a per-program verdict.
+    # Fail fast on a bad engine name — a configuration error, not a
+    # per-program verdict.
     try:
         import dataclasses as _dataclasses
 
         from repro.core.config import MODULAR
 
         _dataclasses.replace(MODULAR, engine=config.engine)
-        if config.engine == "vector":
-            from repro.dataflow.vecbitset import require_numpy
-
-            require_numpy("the vector mass-evaluation engine (--engine vector)")
-    except (ValueError, RuntimeError) as error:
+    except ValueError as error:
         raise ReproError(str(error))
     if corpus is None:
         with obs_span("massrun_ingest", count=config.count, dirs=len(config.dirs)):

@@ -344,9 +344,9 @@ class SummaryStore:
             return None
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # JSONDecodeError, UnicodeDecodeError
             return None
-        if payload.get("key") != key.to_json_dict():
+        if not isinstance(payload, dict) or payload.get("key") != key.to_json_dict():
             # Hash-prefix collision or foreign file: never serve it.
             return None
         value = payload.get("value")

@@ -5,7 +5,6 @@ import io
 import pytest
 
 from repro.cli import build_parser, main
-from repro.dataflow.vecbitset import HAVE_NUMPY
 
 from helpers import GET_COUNT_SOURCE
 
@@ -508,8 +507,8 @@ def test_bench_run_twice_then_report_trends(tmp_path):
         assert code == 0
         summary = json.loads(output)
         assert summary["suite"] == ["theta_join"]
-        # 3 object/bitset metrics, plus 2 vector metrics when numpy is there.
-        assert summary["records"] == (5 if HAVE_NUMPY else 3)
+        # 3 object/bitset metrics.
+        assert summary["records"] == 3
         assert summary["metrics"]["theta_join.speedup"] > 0
 
     code, output = run_cli("bench", "--ledger-dir", ledger_dir, "report")
@@ -626,23 +625,59 @@ def test_profile_and_bench_help(capsys):
             assert flag in output, f"{name} --help missing {flag}"
 
 
-def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path):
+def run_fresh_interpreter(*args):
+    """Run ``python ARGS`` in a new interpreter with this checkout's ``src``."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    deep = tmp_path / "deep.mrs"
-    deep.write_text("fn f() -> u32 {\n    " + "(" * 200 + "1" + ")" * 200 + "\n}\n")
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "analyze", str(deep)],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_deep_nesting_is_a_diagnostic_not_a_traceback(tmp_path):
+    deep = tmp_path / "deep.mrs"
+    deep.write_text("fn f() -> u32 {\n    " + "(" * 200 + "1" + ")" * 200 + "\n}\n")
+    proc = run_fresh_interpreter("-m", "repro.cli", "analyze", str(deep))
     output = proc.stdout + proc.stderr
     assert proc.returncode != 0
     assert "Traceback" not in output and "RecursionError" not in output
     assert "nesting too deep" in output
     assert f"{deep}:2:" in output  # the span of the token over the limit
+
+
+def test_cli_analyze_does_not_load_numpy(source_file):
+    # The analysis is pure Python; numpy belongs to the `stats` extra only.
+    proc = run_fresh_interpreter(
+        "-c",
+        "import sys, repro.cli\n"
+        f"code = repro.cli.main(['analyze', {source_file!r}])\n"
+        "print('numpy loaded:', 'numpy' in sys.modules)\n"
+        "sys.exit(code)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "get_count" in proc.stdout
+    assert proc.stdout.rstrip().endswith("numpy loaded: False")
+
+
+@pytest.mark.parametrize("command", [["analyze", "FILE"], ["eval", "run"]])
+def test_vector_engine_is_an_argparse_error(source_file, capsys, command):
+    argv = [source_file if arg == "FILE" else arg for arg in command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--engine", "vector"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'vector'" in err
+    assert "Traceback" not in err
+
+
+def test_vector_engine_is_not_a_config():
+    from repro.core.config import AnalysisConfig
+
+    with pytest.raises(ValueError, match="expected 'bitset' or 'object'"):
+        AnalysisConfig(engine="vector")

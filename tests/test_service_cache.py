@@ -123,6 +123,20 @@ class TestSummaryStore:
         fresh = SummaryStore(disk_dir=tmp_path)
         assert fresh.get(key) is None
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b"[]", b"null", b'"record"', b"42", b"{not json", b"\xff\xfe{}", b""],
+        ids=["list", "null", "string", "number", "bad-json", "bad-utf8", "empty"],
+    )
+    def test_corrupt_disk_record_is_a_miss(self, tmp_path, raw):
+        key = make_key()
+        SummaryStore(disk_dir=tmp_path).put(key, {"v": 1})
+        (tmp_path / key.file_name()).write_bytes(raw)
+
+        fresh = SummaryStore(disk_dir=tmp_path)
+        assert fresh.get(key) is None
+        assert (fresh.stats.misses, fresh.stats.disk_hits) == (1, 0)
+
     def test_clear_also_wipes_the_disk_tier(self, tmp_path):
         key = make_key()
         store = SummaryStore(disk_dir=tmp_path)

@@ -10,7 +10,6 @@ from repro.mir.callgraph import build_call_graph
 from repro.service.cache import FingerprintIndex, SummaryStore
 from repro.service.scheduler import (
     BatchScheduler,
-    corpus_waves,
     run_waves,
     schedule_waves,
 )
@@ -156,23 +155,6 @@ class TestRunWaves:
     def test_empty_waves(self):
         mode, results, error = run_waves(_double_chunk, [])
         assert (mode, results, error) == ("serial", [], None)
-
-
-class TestCorpusWaves:
-    def test_waves_merge_position_wise_across_crates(self):
-        chain_engine, _ = engine_for(CHAIN_SOURCE)
-        cycle_engine, _ = engine_for(CYCLE_SOURCE)
-        waves = corpus_waves([chain_engine, cycle_engine])
-        # Wave i holds wave i of every crate: crates are independent, so only
-        # the intra-crate callees-first order constrains scheduling.
-        assert waves == [
-            [(0, "leaf"), (0, "lone"), (1, "ping"), (1, "pong")],
-            [(0, "mid"), (1, "top")],
-            [(0, "root")],
-        ]
-
-    def test_empty_corpus(self):
-        assert corpus_waves([]) == []
 
 
 class TestParallelPath:

@@ -1,6 +1,7 @@
 """Tests for the evaluation statistics helpers."""
 
 import math
+import sys
 
 import pytest
 
@@ -144,6 +145,13 @@ def test_interaction_regression_unknown_term_raises():
     regression = interaction_regression(sizes)
     with pytest.raises(KeyError):
         regression.term("nope")
+
+
+def test_interaction_regression_requires_numpy(monkeypatch):
+    # A None entry in sys.modules makes `import numpy` raise ImportError.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(RuntimeError, match="requires numpy and scipy"):
+        interaction_regression({(False, False): {key("c", "f", "x"): 1}})
 
 
 # ---------------------------------------------------------------------------
